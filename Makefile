@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet fmt-check bench bench-short bench-check experiments fuzz campaign-smoke campaign-dist-smoke chaos-smoke metrics-smoke serve-smoke analyze-smoke trace-smoke api apicheck ci
+.PHONY: build test race stress vet fmt-check bench bench-short bench-check experiments fuzz campaign-smoke campaign-dist-smoke chaos-smoke metrics-smoke serve-smoke analyze-smoke trace-smoke api apicheck ci
 
 build:
 	$(GO) build ./...
@@ -13,6 +13,14 @@ test:
 # the experiments/campaign layers that fan out on it.
 race:
 	$(GO) test -race ./internal/runner ./internal/netsim ./internal/core ./internal/scenario ./internal/experiments ./internal/campaign ./internal/campaign/dist ./internal/campaign/dist/lease ./internal/campaign/serve ./internal/analyze ./internal/obs
+
+# Repeated runs of code that several goroutines reach: the DES kernel
+# passes its execution token from process goroutine to process goroutine,
+# and lease handles race over one directory. Repetition surfaces rare
+# interleavings that one run misses.
+stress:
+	$(GO) test -race -count=10 ./internal/netsim
+	$(GO) test -count=50 ./internal/campaign/dist/lease ./internal/campaign/dist
 
 # API-surface lock: api.txt is the checked-in `go doc -all` of the public
 # package. `make api` regenerates it after an intentional API change;
@@ -236,4 +244,4 @@ analyze-smoke: serve-smoke
 	diff /tmp/camp-serve-base.analyze.json /tmp/camp-serve.analyze.json
 	@echo "kill -9 store analytics document is byte-identical"
 
-ci: build vet fmt-check apicheck test race chaos-smoke campaign-dist-smoke metrics-smoke serve-smoke analyze-smoke trace-smoke
+ci: build vet fmt-check apicheck test race stress chaos-smoke campaign-dist-smoke metrics-smoke serve-smoke analyze-smoke trace-smoke

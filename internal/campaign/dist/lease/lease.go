@@ -117,10 +117,9 @@ func DefaultOwner() string {
 // Handle is a held lease. It is not safe for concurrent use; the typical
 // shape is one goroutine heartbeating while the owner works.
 type Handle struct {
-	dir   string
-	info  Info
-	ttl   time.Duration
-	nonce atomic.Int64 // unique temp/tombstone suffixes
+	dir  string
+	info Info
+	ttl  time.Duration
 }
 
 // Owner returns the handle's owner id.
@@ -281,20 +280,53 @@ func hostname() string {
 	return host
 }
 
-// tombstone renames the current lease file to a unique name and removes
+// tombstone renames the current lease file onto a unique name and removes
 // it. Rename is the arbitration point: it succeeds for exactly one
-// contender; everyone else sees ENOENT and reports false.
+// contender; everyone else sees ENOENT and reports false. os.CreateTemp
+// reserves the name, so no other handle, process or host sharing the
+// directory can pick it too.
 func (h *Handle) tombstone(name string) (bool, error) {
-	dst := Path(h.dir, name) + fmt.Sprintf(".stale.%d.%d", os.Getpid(), h.nonce.Add(1))
-	err := os.Rename(Path(h.dir, name), dst)
+	f, err := os.CreateTemp(h.dir, name+".lease.stale.*")
+	if err != nil {
+		return false, err
+	}
+	f.Close()
+	dst := f.Name()
+	defer os.Remove(dst)
+	err = os.Rename(Path(h.dir, name), dst)
 	if errors.Is(err, os.ErrNotExist) {
 		return false, nil
 	}
 	if err != nil {
 		return false, err
 	}
-	os.Remove(dst)
 	return true, nil
+}
+
+// writeTemp writes h.info to a new temp file beside the lease and returns
+// its path. os.CreateTemp makes the name unique across handles, processes
+// and hosts, so concurrent writers never link or remove each other's file.
+func (h *Handle) writeTemp() (string, error) {
+	data, err := json.Marshal(&h.info)
+	if err != nil {
+		return "", err
+	}
+	f, err := os.CreateTemp(h.dir, h.info.Name+".lease.tmp.*")
+	if err != nil {
+		return "", err
+	}
+	// CreateTemp makes the file owner-only; leases stay world-readable.
+	if err = f.Chmod(0o644); err == nil {
+		_, err = f.Write(append(data, '\n'))
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		os.Remove(f.Name())
+		return "", err
+	}
+	return f.Name(), nil
 }
 
 // create atomically publishes h.info as the lease file, complete or not at
@@ -303,12 +335,8 @@ func (h *Handle) tombstone(name string) (bool, error) {
 // would read as corrupt and invite a takeover of a live lease). Returns
 // false if someone else's lease already exists.
 func (h *Handle) create() (bool, error) {
-	data, err := json.Marshal(&h.info)
+	tmp, err := h.writeTemp()
 	if err != nil {
-		return false, err
-	}
-	tmp := Path(h.dir, h.info.Name) + fmt.Sprintf(".tmp.%d.%d", os.Getpid(), h.nonce.Add(1))
-	if err := os.WriteFile(tmp, append(data, '\n'), 0o644); err != nil {
 		return false, err
 	}
 	defer os.Remove(tmp)
@@ -344,12 +372,8 @@ func (h *Handle) Heartbeat() error {
 		return err
 	}
 	h.info.HeartbeatUnixNano = time.Now().UnixNano()
-	data, err := json.Marshal(&h.info)
+	tmp, err := h.writeTemp()
 	if err != nil {
-		return err
-	}
-	tmp := Path(h.dir, h.info.Name) + fmt.Sprintf(".tmp.%d.%d", os.Getpid(), h.nonce.Add(1))
-	if err := os.WriteFile(tmp, append(data, '\n'), 0o644); err != nil {
 		return err
 	}
 	if err := os.Rename(tmp, Path(h.dir, h.info.Name)); err != nil {

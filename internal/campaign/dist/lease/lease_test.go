@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -141,6 +142,45 @@ func TestAcquireRaceSingleWinner(t *testing.T) {
 	wg.Wait()
 	if len(wins) != 1 {
 		t.Fatalf("winners = %v, want exactly one", wins)
+	}
+}
+
+// Many handles in one process race Acquire, Heartbeat and Release on one
+// name. Acquire may lose the race (held, contended), but no step may fail
+// on the filesystem: no two handles may ever write, link or remove the
+// same temp path.
+func TestHandlesInOneProcessShareNoTempFiles(t *testing.T) {
+	dir := t.TempDir()
+	const workers, rounds = 8, 40
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				h, err := Acquire(dir, "shard-0001", DefaultOwner(), time.Minute)
+				if err != nil {
+					if !IsHeld(err) && !strings.Contains(err.Error(), "contended") {
+						t.Errorf("Acquire: %v", err)
+					}
+					continue
+				}
+				if err := h.Heartbeat(); err != nil {
+					t.Errorf("Heartbeat: %v", err)
+				}
+				if err := h.Release(); err != nil {
+					t.Errorf("Release: %v", err)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ent := range ents {
+		t.Errorf("leftover file %s", ent.Name())
 	}
 }
 

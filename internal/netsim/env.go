@@ -4,25 +4,34 @@
 // fluid-flow shared link with max-min fair bandwidth allocation.
 //
 // Execution model (SimPy-style, lock-step): every simulated process is a
-// goroutine, but at most one goroutine — the driver inside Env.Run or exactly
-// one process — executes at any instant. The driver pops the earliest
-// scheduled entry, hands control to the corresponding process, and waits for
-// that process to block (Sleep, Wait, resource queue) or terminate before
-// advancing the clock. Identical seeds therefore produce identical runs.
+// goroutine, but at most one goroutine — the caller of Env.Run or exactly one
+// process — holds the execution token at any instant, and only the holder
+// touches the environment. The holder runs the dispatch loop itself. A
+// process that blocks (Sleep, Wait, resource queue) or terminates pops the
+// next calendar entries on its own goroutine, runs After/At callbacks
+// inline, and passes the token straight to the next process due by waking
+// that process's channel. When the next wakeup is the blocking process
+// itself — a process sleeping while nothing else is due — it resumes with no
+// goroutine switch at all. The token goes back to Run's goroutine only when
+// the calendar is exhausted, the until horizon is reached, or a process or
+// callback panicked. Pop order depends on (time, sequence) alone, never on
+// which goroutine runs the loop, so identical seeds produce identical runs.
 //
 // The calendar is tuned for the Sleep→Run dispatch cycle that dominates
 // simulated experiments: entries are recycled through a free list instead of
-// being reallocated per event, the binary heap is maintained in place on an
-// index-addressed slice (no container/heap interface boxing), and the
-// wake/yield token exchange uses 1-buffered channels so each handoff costs a
-// single blocking rendezvous rather than two.
+// being reallocated per event, and the binary heap is maintained in place on
+// an index-addressed slice (no container/heap interface boxing). Passing the
+// token to another goroutine is one send on its 1-buffered channel followed
+// by a receive on the sender's own, so a dispatch costs at most one
+// goroutine switch, and none when a process wakes itself.
 //
 // Two further optimizations exploit the lock-step model:
 //
 //   - Batched link reallocation. A Link whose flow set changes does not
 //     recompute its waterfill immediately; it registers on the environment's
-//     dirty list and Run flushes every dirty link exactly once per simulated
-//     instant, just before the clock advances (and before Run returns).
+//     dirty list and the dispatch loop flushes every dirty link exactly once
+//     per simulated instant, just before the clock advances (and before Run
+//     returns).
 //     N synchronized flow arrivals at one timestamp cost one waterfill
 //     instead of N. Flush order is registration order, never map iteration,
 //     so runs stay byte-deterministic. No virtual time passes between a
@@ -70,9 +79,10 @@ type Env struct {
 	flfree []*Flow      // recycled link flows (see freeFlow)
 	wtfree []*waiter    // recycled resource waiters
 	seq    uint64
-	yield  chan struct{}
+	until  time.Duration // horizon of the current Run; <= 0 means none
+	yield  chan struct{} // wakes Run's goroutine when the token returns
 	rng    *rand.Rand
-	err    any // panic value recovered from a process
+	err    any // panic value recovered from a process or callback
 
 	// immediate selects the reference kernel: every Link flow change
 	// recomputes the waterfill eagerly instead of once per instant. The
@@ -122,7 +132,7 @@ func (e *Env) Now() time.Duration { return e.now }
 func (e *Env) Rand() *rand.Rand { return e.rng }
 
 // entry is one calendar item: a process wakeup, a process start, or a
-// driver callback. Entries are pooled: once popped and dispatched they
+// callback. Entries are pooled: once popped and dispatched they
 // return to Env.free and are reused by later pushes. A Timer therefore
 // validates its saved seq before acting on the entry it points to.
 type entry struct {
@@ -131,7 +141,7 @@ type entry struct {
 	proc     *Proc  // non-nil: wake this process…
 	target   uint64 // …if it is blocked in block #target
 	start    bool   // this entry starts proc rather than waking it
-	fn       func() // non-nil: run this callback in driver context
+	fn       func() // non-nil: run this callback inline in the dispatch loop
 	canceled bool
 }
 
@@ -239,9 +249,10 @@ func (t Timer) Cancel() {
 	}
 }
 
-// After schedules fn to run in driver context at Now()+d. The callback must
-// not block; it may schedule further work, trigger events, and start
-// processes.
+// After schedules fn to run at Now()+d. The callback runs inline in the
+// dispatch loop, on whichever goroutine holds the execution token, so it
+// must not block; it may schedule further work, trigger events, and start
+// processes. If it panics, Run re-raises the panic value unchanged.
 func (e *Env) After(d time.Duration, fn func()) Timer {
 	if d < 0 {
 		d = 0
@@ -253,7 +264,7 @@ func (e *Env) After(d time.Duration, fn func()) Timer {
 	return Timer{en: en, seq: en.seq}
 }
 
-// At schedules fn to run in driver context at the absolute virtual time
+// At schedules fn to run at the absolute virtual time
 // `at` (clamped to now if already past) — the trigger primitive the
 // scenario/chaos layer uses to fire faults at fixed points of simulated
 // time. Like After, the callback must not block.
@@ -317,23 +328,23 @@ func (e *Env) Go(name string, fn func(p *Proc)) *Proc {
 	return p
 }
 
-// procLoop is the body of every process goroutine: run one incarnation per
-// start dispatch, then park in the free list until resurrected or killed.
-// Appending to pfree here is safe: the driver is blocked in <-e.yield and
-// observes the append only after the send (channel happens-before).
+// procLoop is the body of every process goroutine: wait for the first start
+// dispatch, then run one incarnation per start. After each incarnation the
+// proc parks on the free list and its goroutine dispatches onward itself; it
+// runs the next incarnation at once if the loop restarted this very proc,
+// and otherwise waits until it is started again or killed by a pool drain.
 func (e *Env) procLoop(p *Proc) {
-	for {
-		<-p.wake // wait for the driver to dispatch a start entry
-		if p.kill {
-			e.yield <- struct{}{}
-			return
-		}
+	<-p.wake
+	for !p.kill {
 		e.runIncarnation(p)
 		p.dead = true
 		p.fn = nil
 		e.pfree = append(e.pfree, p)
-		e.yield <- struct{}{}
+		if !e.schedule(p) {
+			<-p.wake
+		}
 	}
+	e.yield <- struct{}{} // acknowledge the drain, then exit
 }
 
 // runIncarnation executes the current process body, converting a panic into
@@ -347,9 +358,10 @@ func (e *Env) runIncarnation(p *Proc) {
 	p.fn(p)
 }
 
-// drainProcPool terminates every parked goroutine. Run calls it when the
-// calendar is exhausted so a finished simulation holds no goroutines; the
-// next Go after a drain simply allocates fresh.
+// drainProcPool terminates every parked goroutine. Run calls it, holding the
+// token, whenever it returns or re-raises a panic, so a finished or
+// abandoned simulation holds no pooled goroutines; the next Go after a
+// drain simply allocates fresh.
 func (e *Env) drainProcPool() {
 	for i, p := range e.pfree {
 		p.kill = true
@@ -377,35 +389,46 @@ func (p *Proc) Sleep(d time.Duration) {
 	p.block()
 }
 
-// block yields to the driver and waits to be woken.
+// block gives up the token until p is woken. The dispatch loop runs on p's
+// own goroutine first, so a process whose wakeup is the next entry due
+// resumes without a goroutine switch.
 func (p *Proc) block() {
 	p.blocks++
 	p.blockedNow = true
-	p.env.yield <- struct{}{}
-	<-p.wake
+	if !p.env.schedule(p) {
+		<-p.wake
+	}
 	p.blockedNow = false
 }
 
-// Run drives the simulation until the calendar is exhausted or the virtual
-// clock would pass `until` (use a non-positive until to run to exhaustion).
-// It panics if a simulated process panicked, re-raising the value with
-// context. Run returns the virtual time at which it stopped.
+// schedule is the dispatch loop. It runs on the goroutine that holds the
+// token: self is that goroutine's process, or nil for Run's goroutine. It
+// pops entries in (at, seq) order, running callbacks inline and flushing
+// dirty links whenever the clock is about to leave the current instant,
+// until it reaches a process to run or a stop: calendar exhausted, until
+// horizon reached, or a panic recorded. It then passes the token on. It
+// reports true when the caller itself runs next (a process woken by its own
+// entry, or Run at a stop); otherwise it has woken the next goroutine, and
+// the caller must touch nothing more before receiving on its own channel.
 //
-// Run owns the end-of-instant flush: whenever the clock is about to leave
-// the current instant — the next entry is later than now, the calendar is
-// empty, or the until cutoff is reached — every dirty link recomputes its
-// waterfill once, at the instant all of its flow changes happened. A flush
-// may schedule new completion entries at or after now; the loop re-examines
-// the calendar afterwards, so those dispatch in their proper place.
-//
-// When the calendar is exhausted Run also drains the process pool,
-// terminating the parked goroutines, so a completed simulation leaves
-// nothing running.
-func (e *Env) Run(until time.Duration) time.Duration {
+// A flush may schedule new completion entries at or after now; the loop
+// re-examines the calendar afterwards, so those dispatch in their proper
+// place. A callback panic is recovered here, whichever goroutine ran the
+// callback, so it never unwinds a process body; Run re-raises the value.
+func (e *Env) schedule(self *Proc) (selfNext bool) {
+	defer func() {
+		if r := recover(); r != nil {
+			e.err = r
+			selfNext = e.handoff(self, nil)
+		}
+	}()
+	if e.err != nil { // the process that just ended panicked
+		return e.handoff(self, nil)
+	}
 	for {
 		if len(e.cal) == 0 {
 			if len(e.dirty) == 0 {
-				break
+				return e.handoff(self, nil)
 			}
 			e.flushDirty()
 			continue
@@ -419,14 +442,10 @@ func (e *Env) Run(until time.Duration) time.Duration {
 			e.recycle(en)
 			continue
 		}
-		if until > 0 && en.at > until {
+		if e.until > 0 && en.at > e.until {
 			e.calPush(en) // keep it for a later Run
-			e.now = until
-			// Drain here too: a caller may abandon the environment after a
-			// horizon-bounded Run, and parked goroutines are never garbage
-			// collected. The next Go after a drain simply allocates fresh.
-			e.drainProcPool()
-			return e.now
+			e.now = e.until
+			return e.handoff(self, nil)
 		}
 		e.now = en.at
 		// Copy the dispatch fields and recycle before dispatching: the
@@ -435,29 +454,61 @@ func (e *Env) Run(until time.Duration) time.Duration {
 		e.recycle(en)
 		switch {
 		case start:
-			if proc.dead {
-				continue
+			if !proc.dead {
+				return e.handoff(self, proc)
 			}
-			proc.wake <- struct{}{}
-			<-e.yield
 		case proc != nil:
-			if proc.dead || !proc.blockedNow || proc.blocks != target {
-				continue // stale wakeup; drop
+			// A stale wakeup (process dead, running, or in a later block)
+			// is dropped.
+			if !proc.dead && proc.blockedNow && proc.blocks == target {
+				return e.handoff(self, proc)
 			}
-			proc.wake <- struct{}{}
-			<-e.yield
 		case fn != nil:
 			fn()
 		}
-		if e.err != nil {
-			// Drain before re-raising so a recovered simulation failure
-			// (campaign jobs recover per-site panics) leaks no goroutines.
-			err := e.err
-			e.drainProcPool()
-			panic(err)
-		}
+	}
+}
+
+// handoff passes the token from self to next, where nil stands for Run's
+// goroutine, and reports whether the caller keeps it (next == self).
+func (e *Env) handoff(self, next *Proc) bool {
+	switch {
+	case next == self:
+		return true
+	case next == nil:
+		e.yield <- struct{}{}
+	default:
+		next.wake <- struct{}{}
+	}
+	return false
+}
+
+// Run drives the simulation until the calendar is exhausted or the virtual
+// clock would pass `until` (use a non-positive until to run to exhaustion).
+// It panics if a simulated process panicked, re-raising the value with
+// context, or if a callback panicked, re-raising that callback's value
+// unchanged. Run returns the virtual time at which it stopped.
+//
+// Run hands the token to the dispatch loop (see schedule) and waits for it
+// to come back. The loop owns the end-of-instant flush: whenever the clock
+// is about to leave the current instant — the next entry is later than now,
+// the calendar is empty, or the until cutoff is reached — every dirty link
+// recomputes its waterfill once, at the instant all of its flow changes
+// happened.
+//
+// Before returning or re-raising, Run drains the process pool, terminating
+// the parked goroutines: a caller may abandon the environment at any stop
+// (campaign jobs recover per-site panics), and parked goroutines are never
+// garbage collected.
+func (e *Env) Run(until time.Duration) time.Duration {
+	e.until = until
+	if !e.schedule(nil) {
+		<-e.yield
 	}
 	e.drainProcPool()
+	if err := e.err; err != nil {
+		panic(err)
+	}
 	return e.now
 }
 
@@ -563,7 +614,7 @@ func (ev *Event) Triggered() bool { return ev.triggered }
 
 // Trigger fires the event, waking all current waiters at the current time in
 // FIFO order. Triggering twice is a no-op. It may be called from a process
-// or a driver callback.
+// or a callback.
 func (ev *Event) Trigger() {
 	if ev.triggered {
 		return
@@ -596,7 +647,7 @@ func (p *Proc) WaitTimeout(ev *Event, d time.Duration) bool {
 		return true
 	}
 	// Two racing wakeup sources aim at the same block; the stale one is
-	// dropped by the generation guard in Run.
+	// dropped by the generation guard in schedule.
 	en := p.env.wakeEntry(p.env.now+d, p, p.blocks+1)
 	timer := Timer{en: en, seq: en.seq}
 	ev.addWaiter(p, p.blocks+1)

@@ -70,9 +70,10 @@ func TestFreeListStaysBounded(t *testing.T) {
 }
 
 // BenchmarkKernelSleepCycle measures the hot dispatch loop in isolation: one
-// process sleeping in a tight loop is one calendar push + pop + a wake/yield
-// handoff per iteration. The entry pool should keep this allocation-free
-// after warm-up.
+// process sleeping in a tight loop is one calendar push + pop per iteration,
+// and since its own wakeup is always the next entry due it resumes on its
+// own goroutine with no switch. The entry pool should keep this
+// allocation-free after warm-up.
 func BenchmarkKernelSleepCycle(b *testing.B) {
 	env := NewEnv(1)
 	stop := make(chan struct{})

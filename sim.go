@@ -121,7 +121,7 @@ func (t SimTarget) open(_ context.Context, cfg Config, ro *runOptions) (*binding
 	var ctl *scenario.Controller
 	if scen != nil {
 		// Emit reads ro.observer at event time: ScenarioApplied fires here
-		// (before any stage), FaultInjected from driver callbacks mid-run,
+		// (before any stage), FaultInjected from kernel callbacks mid-run,
 		// both through the fully composed observer chain.
 		ctl = scen.Start(scenario.Hooks{
 			Env: env, Server: server, Background: bg,
